@@ -1,6 +1,5 @@
 (* The evaluation harness: regenerates every table and figure of the
-   paper's evaluation, plus heuristic analysis, ablations, telemetry and
-   Bechamel microbenchmarks of the underlying kernels.
+   paper's evaluation, plus heuristic analysis, ablations and telemetry.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- figure4      # one experiment
@@ -10,11 +9,10 @@
      dune exec bench/main.exe -- --trace bench.trace telemetry
 
    Experiments: table1 figure4 table2 table3 php-attack heuristic
-   ablation micro fuzz-coverage telemetry parallel-scaling incremental
-   pgo-loop serve portfolio.
+   ablation fuzz-coverage telemetry incremental pgo-loop sim-speedup
+   serve portfolio.
    The telemetry experiment writes the machine-readable report (default
-   BENCH_PR2.json, see --out); parallel-scaling writes its own (default
-   BENCH_PR4.json, see --scaling-out); incremental writes the cold/warm
+   BENCH_PR2.json, see --out); incremental writes the cold/warm
    rebuild report (default BENCH_PR5.json, see --incremental-out);
    pgo-loop writes the closed-loop stability report (default
    BENCH_PR7.json, see --pgo-out); sim-speedup times the block-cached
@@ -36,10 +34,8 @@ let experiments =
     ("table3", Exp_table3.run);
     ("php-attack", Exp_php.run);
     ("ablation", Exp_ablation.run);
-    ("micro", Exp_micro.run);
     ("fuzz-coverage", Exp_fuzz.run);
     ("telemetry", Exp_telemetry.run);
-    ("parallel-scaling", Exp_scaling.run);
     ("incremental", Exp_incremental.run);
     ("pgo-loop", Exp_pgo.run);
     ("sim-speedup", Exp_simspeed.run);
@@ -50,9 +46,9 @@ let experiments =
 let usage () =
   Format.printf
     "usage: main.exe [--versions N] [--workloads A,B,..] [--jobs N|auto] \
-     [--trace FILE] [--out FILE] [--scaling-out FILE] [--incremental-out \
-     FILE] [--pgo-out FILE] [--speedup-out FILE] [--serve-out FILE] \
-     [--serve-population N] [--portfolio-out FILE] [experiment...]@.";
+     [--trace FILE] [--out FILE] [--incremental-out FILE] [--pgo-out FILE] \
+     [--speedup-out FILE] [--serve-out FILE] [--serve-population N] \
+     [--portfolio-out FILE] [experiment...]@.";
   Format.printf "experiments: %s@."
     (String.concat " " (List.map fst experiments));
   exit 1
@@ -91,9 +87,6 @@ let () =
         parse selected rest
     | "--out" :: file :: rest ->
         Suite.telemetry_out := file;
-        parse selected rest
-    | "--scaling-out" :: file :: rest ->
-        Suite.scaling_out := file;
         parse selected rest
     | "--incremental-out" :: file :: rest ->
         Suite.incremental_out := file;

@@ -39,9 +39,6 @@ let workloads () = !selected_workloads
 (* Where the telemetry experiment writes its machine-readable report. *)
 let telemetry_out = ref "BENCH_PR2.json"
 
-(* Where the parallel-scaling experiment writes its report. *)
-let scaling_out = ref "BENCH_PR4.json"
-
 (* Where the incremental-build experiment writes its report. *)
 let incremental_out = ref "BENCH_PR5.json"
 

@@ -46,6 +46,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let write_file path contents =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc contents)
+
 let parse_args s =
   if String.trim s = "" then []
   else
@@ -55,6 +61,29 @@ let parse_args s =
         | Some v -> v
         | None -> failwith ("bad integer argument: " ^ tok))
       (String.split_on_char ',' s)
+
+let die fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "minicc: %s@." msg;
+      exit 1)
+    fmt
+
+(* Every file a command reads goes through here: a malformed input is a
+   one-line "minicc: <reason>" and exit 1, never an uncaught exception. *)
+let or_die f x = try f x with Failure msg -> die "%s" msg
+
+let load_image = or_die Link.load
+let load_sprof = or_die Sprof.load
+
+let read_profile = function
+  | None -> Profile.empty
+  | Some path ->
+      or_die
+        (fun p ->
+          try Profile.of_string (read_file p)
+          with Failure msg -> failwith (p ^ ": " ^ msg))
+        path
 
 (* The one config-spec entry point for every command that takes a spec
    (run, workload, diversify, serve-client): a bad spec always prints
@@ -86,6 +115,37 @@ let max_overhead_arg =
            the profile (coldest blocks keep full intensity, hot loops \
            absorb the cut) so estimated overhead stays under $(docv).  \
            Equivalent to a $(b,+b)$(docv) config suffix.")
+
+(* The diversification target shared by run, workload and diversify:
+   [--config] resolved through [parse_config] and [apply_max_overhead];
+   [None] when the flag is absent and there is no [default]. *)
+let config_term ?default ~doc () =
+  let spec_arg =
+    Arg.(
+      value
+      & opt (some string) default
+      & info [ "config" ] ~docv:"SPEC" ~doc)
+  in
+  let resolve spec max_overhead =
+    Option.map
+      (fun spec -> apply_max_overhead (parse_config spec) max_overhead)
+      spec
+  in
+  Term.(const resolve $ spec_arg $ max_overhead_arg)
+
+let variant_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
+
+let profile_arg =
+  Arg.(
+    value
+    & opt (some file) None
+    & info [ "profile" ] ~docv:"FILE"
+        ~doc:
+          "Execution profile (from $(b,profile)) guiding the diversified \
+           build.")
 
 (* How to build: an optimization pipeline plus verification policy,
    assembled from --opt-level / -O0/-O1/-O2 / --passes / --verify-each. *)
@@ -266,17 +326,15 @@ let link_cmd =
   in
   let run objects output trace =
     with_trace trace (fun () ->
-        let units, image =
-          try
-            let units = List.map Objfile.load objects in
-            let funcs = List.concat_map (fun u -> u.Objfile.funcs) units in
-            let globals =
-              List.concat_map (fun u -> u.Objfile.globals) units
-            in
-            (units, Link.link_objects ~objects:funcs ~globals ())
-          with Failure msg ->
-            Format.eprintf "minicc: %s@." msg;
-            exit 1
+        let units = List.map (or_die Objfile.load) objects in
+        let image =
+          or_die
+            (fun units ->
+              Link.link_objects
+                ~objects:(List.concat_map (fun u -> u.Objfile.funcs) units)
+                ~globals:(List.concat_map (fun u -> u.Objfile.globals) units)
+                ())
+            units
         in
         Link.save image output;
         Format.printf "%s: linked %d unit(s), %d bytes of .text, %d functions@."
@@ -291,31 +349,12 @@ let link_cmd =
           fixed runtime into an executable image.")
     Term.(const run $ objects_arg $ output_arg ~default:"a.bin" $ trace_arg)
 
-let sim_profile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some `Table)
-        (some (enum [ ("table", `Table); ("json", `Json) ]))
-        None
-    & info [ "sim-profile" ] ~docv:"FORMAT"
-        ~doc:
-          "Collect a runtime execution profile (per-function and \
-           per-block retired instructions, retired candidate NOPs and \
-           modeled cycles) and print it as a pprof-style $(b,table) \
-           (default) or $(b,json).")
+(* ---- simulation: the options and reports shared by run and workload ---- *)
 
-let sample_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some Sim.default_sample_period) (some int) None
-    & info [ "sim-profile-sample" ] ~docv:"PERIOD"
-        ~doc:
-          (Printf.sprintf
-             "Record a PC sample every $(docv) retired cycles (default \
-              %d) — production-style profiling with a modeled overhead — \
-              and print the back-mapped (function, block) sample table. \
-              Use $(b,minicc profile record) to persist the recording."
-             Sim.default_sample_period))
+(* Reject a non-positive sampling period here rather than letting
+   [Sim.run] raise an uncaught Invalid_argument. *)
+let check_period n =
+  if n <= 0 then die "sample period must be positive (got %d)" n
 
 let top_arg =
   Arg.(
@@ -324,117 +363,118 @@ let top_arg =
     & info [ "top" ] ~docv:"N"
         ~doc:"Truncate profile tables to the $(docv) hottest rows.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("block", Sim.Block); ("interp", Sim.Interp) ])
-        Sim.default_engine
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,block) (default) pre-decodes .text into \
-           a block cache and executes compiled entries; $(b,interp) is \
-           the reference fetch-decode-execute interpreter, kept as the \
-           differential oracle.  Every observable — output, cycles, \
-           profiles, faults — is identical either way.")
+type sim_opts = {
+  sim_profile : [ `Table | `Json ] option;
+  sample : int option;
+  engine : Sim.engine;
+  top : int option;
+}
 
-let die fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "minicc: %s@." msg;
-      exit 1)
-    fmt
+let sim_term =
+  let sim_profile_arg =
+    Arg.(
+      value
+      & opt ~vopt:(Some `Table)
+          (some (enum [ ("table", `Table); ("json", `Json) ]))
+          None
+      & info [ "sim-profile" ] ~docv:"FORMAT"
+          ~doc:
+            "Collect a runtime execution profile (per-function and \
+             per-block retired instructions, retired candidate NOPs and \
+             modeled cycles) and print it as a pprof-style $(b,table) \
+             (default) or $(b,json).")
+  in
+  let sample_arg =
+    Arg.(
+      value
+      & opt ~vopt:(Some Sim.default_sample_period) (some int) None
+      & info [ "sim-profile-sample" ] ~docv:"PERIOD"
+          ~doc:
+            (Printf.sprintf
+               "Record a PC sample every $(docv) retired cycles (default \
+                %d) — production-style profiling with a modeled overhead \
+                — and print the back-mapped (function, block) sample \
+                table. Use $(b,minicc profile record) to persist the \
+                recording."
+               Sim.default_sample_period))
+  in
+  let engine_arg =
+    Arg.(
+      value
+      & opt
+          (enum [ ("block", Sim.Block); ("interp", Sim.Interp) ])
+          Sim.default_engine
+      & info [ "engine" ] ~docv:"ENGINE"
+          ~doc:
+            "Execution engine: $(b,block) (default) pre-decodes .text into \
+             a block cache and executes compiled entries; $(b,interp) is \
+             the reference fetch-decode-execute interpreter, kept as the \
+             differential oracle.  Every observable — output, cycles, \
+             profiles, faults — is identical either way.")
+  in
+  let make sim_profile sample engine top =
+    { sim_profile; sample; engine; top }
+  in
+  Term.(const make $ sim_profile_arg $ sample_arg $ engine_arg $ top_arg)
 
-(* Reject a non-positive sampling period here rather than letting
-   [Sim.run] raise an uncaught Invalid_argument. *)
-let validate_period = function
-  | Some n when n <= 0 -> die "sample period must be positive (got %d)" n
-  | p -> p
+(* Sampling cost as a share of the unsampled run's cycles. *)
+let sample_overhead_pct (r : Sim.result) (sp : Sim.sample_profile) =
+  100.0 *. sp.Sim.sample_overhead_cycles
+  /. Float.max 1.0 (r.Sim.cycles -. sp.Sim.sample_overhead_cycles)
 
-let load_image path =
-  try Link.load path
-  with Failure msg ->
-    Format.eprintf "minicc: %s@." msg;
-    exit 1
+let simulate o image ~args =
+  Option.iter check_period o.sample;
+  try
+    Driver.run_image image
+      ~profile:(o.sim_profile <> None)
+      ?sample_period:o.sample ~engine:o.engine ~args
+  with Sim.Fault msg -> die "fault: %s" msg
 
-let print_sampled ?top image binary (r : Sim.result) =
+(* The --sim-profile table and the --sim-profile-sample table, each
+   printed only when asked for. *)
+let print_profiles o image ~workload (r : Sim.result) =
+  let top = o.top in
+  (match o.sim_profile with
+  | None -> ()
+  | Some `Table ->
+      Format.printf "%a" (Simprof.pp_flat ?top) (Simprof.of_result image r)
+  | Some `Json ->
+      print_endline (Simprof.to_json ?top (Simprof.of_result image r)));
   match r.Sim.sample_profile with
   | None -> ()
   | Some sp ->
-      let sprof =
-        Sprof.of_run ~image ~workload:(Filename.basename binary) r
-      in
       Format.printf
         "[sampled: %Ld samples at period %.0f, overhead %.3f%%]@."
-        sp.Sim.samples_taken sp.Sim.period
-        (100.0 *. sp.Sim.sample_overhead_cycles
-        /. Float.max 1.0 (r.Sim.cycles -. sp.Sim.sample_overhead_cycles));
-      Format.printf "%a" (Sprof.pp ?top) sprof
+        sp.Sim.samples_taken sp.Sim.period (sample_overhead_pct r sp);
+      Format.printf "%a" (Sprof.pp ?top) (Sprof.of_run ~image ~workload r)
 
 let run_cmd =
-  let config_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "config" ] ~docv:"SPEC"
-          ~doc:
-            "Treat the input as MiniC source: compile it, build the \
-             diversified variant for this configuration spec in memory, \
-             and execute that instead of a prebuilt image.")
+  let config_term =
+    config_term
+      ~doc:
+        "Treat the input as MiniC source: compile it, build the \
+         diversified variant for this configuration spec in memory, and \
+         execute that instead of a prebuilt image."
+      ()
   in
-  let variant_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
-  in
-  let profile_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:"Execution profile guiding $(b,--config) (from $(b,profile)).")
-  in
-  let run binary args config_spec variant profile_path sim_profile sample
-      engine top trace =
+  let run binary args config variant profile_path sim trace =
     with_trace trace (fun () ->
         let image =
-          match config_spec with
+          match config with
           | None -> load_image binary
-          | Some spec ->
-              let config = parse_config spec in
+          | Some config ->
               let c =
                 Driver.compile ~name:(Filename.basename binary)
                   (read_file binary)
               in
-              let profile =
-                match profile_path with
-                | Some p -> Profile.of_string (read_file p)
-                | None -> Profile.empty
-              in
-              fst (Driver.diversify c ~config ~profile ~version:variant)
+              let profile = read_profile profile_path in
+              fst (Driver.diversify_linked c ~config ~profile ~version:variant)
         in
-        let r =
-          try
-            Driver.run_image image
-              ~profile:(sim_profile <> None)
-              ?sample_period:(validate_period sample)
-              ~engine
-              ~args:(parse_args args)
-          with Sim.Fault msg ->
-            Format.eprintf "minicc: fault: %s@." msg;
-            exit 1
-        in
+        let r = simulate sim image ~args:(parse_args args) in
         print_string r.Sim.output;
         Format.printf "[status %ld, %Ld instructions, %.0f cycles]@."
           r.Sim.status r.Sim.instructions r.Sim.cycles;
-        (match sim_profile with
-        | None -> ()
-        | Some fmt -> (
-            let prof = Simprof.of_result image r in
-            match fmt with
-            | `Table -> Format.printf "%a" (Simprof.pp_flat ?top) prof
-            | `Json -> print_endline (Simprof.to_json ?top prof)));
-        print_sampled ?top image binary r)
+        print_profiles sim image ~workload:(Filename.basename binary) r)
   in
   Cmd.v
     (Cmd.info "run"
@@ -442,9 +482,8 @@ let run_cmd =
          "Execute a binary image in the CPU simulator (or, with \
           $(b,--config), a freshly diversified build of a source file).")
     Term.(
-      const run $ source_arg $ args_arg $ config_arg $ variant_arg
-      $ profile_arg $ sim_profile_arg $ sample_arg $ engine_arg $ top_arg
-      $ trace_arg)
+      const run $ source_arg $ args_arg $ config_term $ variant_arg
+      $ profile_arg $ sim_term $ trace_arg)
 
 (* ---- the profile group: the exact training path (default command) and
    the sampled production path (record / merge / show / diff) ---- *)
@@ -460,20 +499,12 @@ let period_arg =
           (Printf.sprintf "Cycles between PC samples (default %d)."
              Sim.default_sample_period))
 
-let load_sprof path =
-  try Sprof.load path
-  with Failure msg ->
-    Format.eprintf "minicc: %s@." msg;
-    exit 1
-
 let profile_train_term =
   let run source output args build trace =
     with_trace trace (fun () ->
         let c = compile_source ~build source in
         let profile = Driver.train c ~args:(parse_args args) in
-        let oc = open_out output in
-        output_string oc (Profile.to_string profile);
-        close_out oc;
+        write_file output (Profile.to_string profile);
         Format.printf "%s: max block count %Ld@." output
           (Profile.max_count profile))
   in
@@ -509,25 +540,19 @@ let profile_record_cmd =
         let workload =
           Option.value workload ~default:(Filename.basename binary)
         in
-        let period =
-          Option.get (validate_period (Some period))
-        in
+        check_period period;
         let sprof, r =
           try
             Driver.record_profile ~sample_period:period ~config ~seed image
               ~workload ~args:(parse_args args)
-          with Sim.Fault msg ->
-            Format.eprintf "minicc: fault: %s@." msg;
-            exit 1
+          with Sim.Fault msg -> die "fault: %s" msg
         in
         print_string r.Sim.output;
         Sprof.save sprof output;
         let sp = Option.get r.Sim.sample_profile in
         Format.printf
           "%s: %Ld samples at period %.0f (overhead %.3f%%), %d rows@."
-          output sp.Sim.samples_taken sp.Sim.period
-          (100.0 *. sp.Sim.sample_overhead_cycles
-          /. Float.max 1.0 (r.Sim.cycles -. sp.Sim.sample_overhead_cycles))
+          output sp.Sim.samples_taken sp.Sim.period (sample_overhead_pct r sp)
           (Hashtbl.length sprof.Sprof.rows))
   in
   Cmd.v
@@ -605,12 +630,9 @@ let profile_diff_cmd =
     (* The reference side is either an exact training profile (the text
        format `minicc profile` writes) or another sampled recording. *)
     let fresh =
-      try Sprof.to_profile (Sprof.load fresh_path)
-      with Failure _ -> (
-        try Profile.of_string (read_file fresh_path)
-        with Failure msg ->
-          Format.eprintf "minicc: %s: %s@." fresh_path msg;
-          exit 1)
+      match Sprof.load fresh_path with
+      | recording -> Sprof.to_profile recording
+      | exception Failure _ -> read_profile (Some fresh_path)
     in
     Format.printf "%a" Sprof.pp_staleness (Sprof.staleness ~fresh sprof)
   in
@@ -644,23 +666,14 @@ let profile_cmd =
       profile_show_cmd; profile_diff_cmd ]
 
 let diversify_cmd =
-  let profile_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "profile" ] ~docv:"FILE" ~doc:"Execution profile (from $(b,profile)).")
-  in
-  let config_arg =
-    Arg.(
-      value & opt string "p0-30"
-      & info [ "config" ] ~docv:"NAME"
-          ~doc:
-            "Configuration: p50 p30 p25-50 p10-50 p0-30, uniform:P, \
-             range:LO:HI, with optional +xchg +shift +sched +regperm \
-             +subst +nonop +b<PCT> suffixes (the divpass portfolio and \
-             overhead budget).")
-  in
-  let version_arg =
-    Arg.(value & opt int 0 & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
+  let config_term =
+    config_term ~default:"p0-30"
+      ~doc:
+        "Configuration: p50 p30 p25-50 p10-50 p0-30, uniform:P, \
+         range:LO:HI, with optional +xchg +shift +sched +regperm +subst \
+         +nonop +b<PCT> suffixes (the divpass portfolio and overhead \
+         budget)."
+      ()
   in
   let sampled_arg =
     Arg.(
@@ -672,17 +685,16 @@ let diversify_cmd =
              $(b,profile merge)) to train from instead of an exact \
              $(b,--profile) — the closed PGO loop.")
   in
-  let run source output profile_path sampled_path config version max_overhead
-      build stats trace =
+  let run source output profile_path sampled_path config version build stats
+      trace =
+    (* The spec was checked (exit 2) before any compilation work. *)
+    let config = Option.get config in
     with_trace trace (fun () ->
-        (* Reject a bad spec (exit 2) before doing any compilation work. *)
-        let config = apply_max_overhead (parse_config config) max_overhead in
         let c = compile_source ~build source in
         let profile =
-          match (sampled_path, profile_path) with
-          | Some sp, _ -> Driver.train_from_profile c (load_sprof sp)
-          | None, Some p -> Profile.of_string (read_file p)
-          | None, None -> Profile.empty
+          match sampled_path with
+          | Some sp -> Driver.train_from_profile c (load_sprof sp)
+          | None -> read_profile profile_path
         in
         (match config.Config.strategy with
         | Config.Profiled _ when Profile.is_empty profile ->
@@ -690,7 +702,9 @@ let diversify_cmd =
               "warning: profile-guided config without --profile; everything \
                is cold@."
         | _ -> ());
-        let image, report = Driver.diversify c ~config ~profile ~version in
+        let image, report =
+          Driver.diversify_linked c ~config ~profile ~version
+        in
         Link.save image output;
         List.iter
           (fun (s : Divpass.stats) ->
@@ -705,12 +719,12 @@ let diversify_cmd =
     (Cmd.info "diversify" ~doc:"Build one diversified version of a program.")
     Term.(
       const run $ source_arg $ output_arg ~default:"a.div.bin" $ profile_arg
-      $ sampled_arg $ config_arg $ version_arg $ max_overhead_arg
-      $ build_term $ pass_stats_arg $ trace_arg)
+      $ sampled_arg $ config_term $ variant_arg $ build_term $ pass_stats_arg
+      $ trace_arg)
 
 let gadgets_cmd =
   let run binary =
-    let image = Link.load binary in
+    let image = load_image binary in
     let gadgets = Finder.scan image.Link.text in
     Format.printf "%d gadgets in %d bytes of .text@." (List.length gadgets)
       (String.length image.Link.text);
@@ -732,8 +746,8 @@ let survivor_cmd =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"DIVERSIFIED")
   in
   let run original diversified =
-    let o = Link.load original in
-    let d = Link.load diversified in
+    let o = load_image original in
+    let d = load_image diversified in
     let outcome =
       Survivor.compare_sections ~original:o.Link.text
         ~diversified:d.Link.text ()
@@ -758,7 +772,7 @@ let attack_cmd =
       & info [ "scanner" ] ~docv:"NAME" ~doc:"ropgadget or micro.")
   in
   let run binary scanner =
-    let image = Link.load binary in
+    let image = load_image binary in
     let v = Attack.attack scanner image.Link.text in
     Format.printf "scanner: %s@." (Attack.scanner_name v.Attack.scanner);
     List.iter
@@ -780,7 +794,7 @@ let attack_cmd =
 
 let disas_cmd =
   let run binary =
-    let image = Link.load binary in
+    let image = load_image binary in
     List.iter
       (fun (name, off) -> Format.printf "%8x  <%s>@." off name)
       (List.sort (fun (_, a) (_, b) -> compare a b) image.Link.symbols);
@@ -798,57 +812,32 @@ let workload_cmd =
   let ref_arg =
     Arg.(value & flag & info [ "ref" ] ~doc:"Use the ref input (default: train).")
   in
-  let config_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "config" ] ~docv:"SPEC"
-          ~doc:
-            "Run a diversified variant instead of the baseline: train on \
-             the workload's training input, then diversify under this \
-             configuration spec.")
+  let config_term =
+    config_term
+      ~doc:
+        "Run a diversified variant instead of the baseline: train on the \
+         workload's training input, then diversify under this \
+         configuration spec."
+      ()
   in
-  let variant_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "n"; "variant" ] ~docv:"N" ~doc:"Version index (seed).")
-  in
-  let run name use_ref config_spec variant max_overhead sim_profile sample
-      engine top trace =
+  let run name use_ref config variant sim trace =
     with_trace trace (fun () ->
-        let config_opt =
-          Option.map
-            (fun spec -> apply_max_overhead (parse_config spec) max_overhead)
-            config_spec
-        in
         let w = Workloads.find name in
         let c = Driver.compile ~name:w.Workload.name w.source in
         let args = if use_ref then w.ref_args else w.train_args in
         let image =
-          match config_opt with
+          match config with
           | None -> Driver.link_baseline c
           | Some config ->
               let profile = Driver.train c ~args:w.train_args in
-              fst (Driver.diversify c ~config ~profile ~version:variant)
+              fst (Driver.diversify_linked c ~config ~profile ~version:variant)
         in
-        let r =
-          Driver.run_image image
-            ~profile:(sim_profile <> None)
-            ?sample_period:(validate_period sample)
-            ~engine ~args
-        in
+        let r = simulate sim image ~args in
         print_string r.Sim.output;
         Format.printf "[%s %s: status %ld, %Ld instructions]@." w.name
           (if use_ref then "ref" else "train")
           r.Sim.status r.Sim.instructions;
-        (match sim_profile with
-        | None -> ()
-        | Some fmt -> (
-            let prof = Simprof.of_result image r in
-            match fmt with
-            | `Table -> Format.printf "%a" (Simprof.pp_flat ?top) prof
-            | `Json -> print_endline (Simprof.to_json ?top prof)));
-        print_sampled ?top image w.name r)
+        print_profiles sim image ~workload:w.name r)
   in
   Cmd.v
     (Cmd.info "workload"
@@ -856,17 +845,22 @@ let workload_cmd =
          "Run a benchmark-suite program by name (optionally as a \
           diversified variant).")
     Term.(
-      const run $ name_arg $ ref_arg $ config_arg $ variant_arg
-      $ max_overhead_arg $ sim_profile_arg $ sample_arg $ engine_arg
-      $ top_arg $ trace_arg)
+      const run $ name_arg $ ref_arg $ config_term $ variant_arg $ sim_term
+      $ trace_arg)
 
-let jobs_conv =
-  Arg.conv
-    ( (fun s ->
-        match Pool.jobs_of_string s with
-        | Ok j -> Ok j
-        | Error msg -> Error (`Msg msg)),
-      fun ppf j -> Format.pp_print_string ppf (Pool.jobs_to_string j) )
+let jobs_arg ~doc =
+  let jobs_conv =
+    Arg.conv
+      ( (fun s ->
+          match Pool.jobs_of_string s with
+          | Ok j -> Ok j
+          | Error msg -> Error (`Msg msg)),
+        fun ppf j -> Format.pp_print_string ppf (Pool.jobs_to_string j) )
+  in
+  Arg.(
+    value
+    & opt jobs_conv (Pool.Jobs 1)
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let fuzz_cmd =
   let count_arg =
@@ -903,13 +897,10 @@ let fuzz_cmd =
           ~doc:"Diversified versions per configuration (default 3).")
   in
   let jobs_arg =
-    Arg.(
-      value
-      & opt jobs_conv (Pool.Jobs 1)
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker processes for the campaign ($(docv) or $(b,auto)); the \
-             campaign is byte-identical at every setting.")
+    jobs_arg
+      ~doc:
+        "Worker processes for the campaign ($(docv) or $(b,auto)); the \
+         campaign is byte-identical at every setting."
   in
   let run count seed shrink out_dir versions jobs trace =
     with_trace trace (fun () ->
@@ -963,14 +954,11 @@ let parse_addr spec =
 
 let serve_cmd =
   let jobs_arg =
-    Arg.(
-      value
-      & opt jobs_conv (Pool.Jobs 1)
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker processes for the per-batch variant fan-out ($(docv) \
-             or $(b,auto)); returned digests are byte-identical at every \
-             setting.")
+    jobs_arg
+      ~doc:
+        "Worker processes for the per-batch variant fan-out ($(docv) or \
+         $(b,auto)); returned digests are byte-identical at every \
+         setting."
   in
   let queue_cap_arg =
     Arg.(
@@ -1146,9 +1134,7 @@ let serve_client_cmd =
                               (Printf.sprintf "%s.v%d.bin" b.Sproto.workload
                                  v.Sproto.version)
                           in
-                          let oc = open_out_bin path in
-                          output_string oc bytes;
-                          close_out oc)
+                          write_file path bytes)
                     b.Sproto.variants
             in
             let report =

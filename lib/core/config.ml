@@ -79,7 +79,7 @@ let budget_to_string b =
 
 (* Every field that changes behaviour must appear in the name: the name
    keys reports AND derives the RNG stream (Rng.of_labels in
-   Driver.diversify), so two distinct configs sharing a name would also
+   Divpass), so two distinct configs sharing a name would also
    share their randomness.  The divpass/budget suffixes come last and in
    a fixed order so the name stays canonical. *)
 let base_name t =

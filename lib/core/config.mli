@@ -89,5 +89,5 @@ val name : t -> string
     linear heuristic ["-lin"], enabled divpasses ["+sched"]
     ["+regperm"] ["+subst"] (and ["+nonop"] when NOP insertion is off),
     a budget ["+b<PCT>"].  The name keys reports and derives RNG
-    streams (see {!Driver.diversify}), so distinct configs must never
-    collide. *)
+    streams (see {!Driver.diversify_linked}), so distinct configs must
+    never collide. *)

@@ -176,11 +176,9 @@ let link_baseline_cached c =
   memo ~metric:"driver.baseline_cache" baseline_cache c.cache_key (fun () ->
       link_baseline c)
 
-(* The shared diversification front half: every enabled diversity pass
-   (see Divpass) over the whole program, each under its own independent
-   RNG stream, with per-pass cctx/metrics accounting.  Both link paths
-   consume its output, so their RNG streams — and therefore their
-   images — are identical by construction. *)
+(* The diversification front half: every enabled diversity pass (see
+   Divpass) over the whole program, each under its own independent RNG
+   stream, with per-pass cctx/metrics accounting. *)
 let diversify_funcs c ~config ~profile ~version =
   let cname = Config.name config in
   let ctx = { Divpass.prog = c.name; config; profile; version } in
@@ -220,17 +218,6 @@ let diversify_funcs c ~config ~profile ~version =
     (float_of_int nop.Divpass.bytes_added);
   (!funcs, report)
 
-let diversify c ~config ~profile ~version =
-  let cname = Config.name config in
-  Trace.with_span "diversify"
-    ~args:
-      [ ("program", c.name); ("config", cname);
-        ("version", string_of_int version) ]
-    (fun () ->
-      let funcs, stats = diversify_funcs c ~config ~profile ~version in
-      ( Link.link ~funcs ~globals:c.modul.globals ~main_arity:c.main_arity,
-        stats ))
-
 let diversify_linked c ~config ~profile ~version =
   let cname = Config.name config in
   Trace.with_span "diversify"
@@ -253,9 +240,8 @@ let diversify_linked c ~config ~profile ~version =
           c.objects funcs
       in
       let image =
-        Link.link_objects ~expect_main_arity:c.main_arity
-          ~runtime:(Link.runtime_objects ~main_arity:c.main_arity)
-          ~objects ~globals:c.modul.globals ()
+        Link.link_objects ~expect_main_arity:c.main_arity ~objects
+          ~globals:c.modul.globals ()
       in
       (image, stats))
 

@@ -11,28 +11,22 @@
     state, so no artifact depends on which worker ran which task, or
     when.
 
-    Backends, behind this one interface:
+    Two execution paths, behind this one interface:
 
-    - [`Fork`] (default wherever [Unix.fork] exists): one child process
-      per worker, task results marshalled back over a pipe.  Process
-      isolation is what buys the hard guarantees: a task that dies — OOM,
-      segfault in a C stub, [kill -9] — costs exactly that task
-      ({!Crashed}); the pool reaps the worker, reassigns the rest of its
-      share to a replacement, and carries on.  Per-task timeouts are
-      enforced inside the worker by an interval timer and backstopped by
-      the parent, which kills a wedged worker outright ({!Timed_out}).
-    - [`Domain`] (OCaml 5.x, opt-in via [PSD_POOL_BACKEND=domains]):
-      shared-memory domains pulling tasks off an atomic counter.  No
-      fork/marshal cost, but no kill-based isolation either: timeouts are
-      not enforceable and a crashing task takes the process down, so this
-      backend is for trusted in-process workloads.  The {!Metrics} and
-      {!Trace} registries take an internal lock, so concurrent recording
-      is safe.
-    - Serial: [jobs = 1] (or one task, or a 4.14 build forced to
-      [domains]) runs tasks in-process in order — same code path the
-      others are compared against.
+    - Fork (every multi-worker run wherever [Unix.fork] exists): one
+      child process per worker, task results marshalled back over a
+      pipe.  Process isolation is what buys the hard guarantees: a task
+      that dies — OOM, segfault in a C stub, [kill -9] — costs exactly
+      that task ({!Crashed}); the pool reaps the worker, reassigns the
+      rest of its share to a replacement, and carries on.  Per-task
+      timeouts are enforced inside the worker by an interval timer and
+      backstopped by the parent, which kills a wedged worker outright
+      ({!Timed_out}).
+    - Serial: one worker (or one task, or a platform without fork) runs
+      tasks in-process in order — the reference semantics the fork path
+      is compared against.
 
-    Worker telemetry is not lost: under [`Fork`], each task result
+    Worker telemetry is not lost: under fork, each task result
     travels with a {!Metrics} delta and the {!Trace} spans recorded while
     it ran; the parent merges the deltas and stitches the spans under a
     per-worker track id, so [--trace] and [--pass-stats] keep working
@@ -52,8 +46,9 @@ val jobs_of_string : string -> (jobs, string) result
 val jobs_to_string : jobs -> string
 
 val auto_jobs : unit -> int
-(** What [Auto] resolves to: the number of available cores (at least
-    1). *)
+(** What [Auto] resolves to: the number of processors listed in
+    [/proc/cpuinfo] (at least 1), or 2 where that file cannot be
+    read. *)
 
 type 'a outcome =
   | Done of 'a
@@ -78,7 +73,3 @@ val map :
 
 val outcome_to_string : 'a outcome -> string
 (** ["done"], or the failure rendering — for error reports. *)
-
-val backend_name : unit -> string
-(** Which backend a multi-worker {!run} would use right now — ["fork"],
-    ["domains"] or ["serial"] — for reports. *)

@@ -7,11 +7,10 @@
     After layout, the two relocation kinds are patched: [Rel32] call
     displacements and [Abs32] global data addresses.
 
-    {!link_objects} is the real linker; {!link} is the symbolic-assembly
-    convenience that wraps each function into an object first; and
-    {!link_whole} is the seed whole-program implementation, kept as the
-    differential oracle the equivalence suite pins the object path
-    against, byte for byte.
+    The runtime objects are built once per [main] arity and shared by
+    every link.  The committed golden fixture
+    ([test/golden_nop_digests.json]) pins the bytes and layout this
+    linker produces for every workload.
 
     The data address space is separate from text (Harvard-style in the
     simulator, matching W⊕X): globals start at {!data_base}, the stack
@@ -40,39 +39,18 @@ val stack_top : int32
 val argv_address : image -> int32
 (** Where the simulator must write the program arguments. *)
 
-val runtime_objects : main_arity:int -> Objfile.func_obj list
-(** The fixed runtime — crt0 built for [main_arity], then the library
-    functions in link order — as relocatable objects.  Memoized per
-    arity: every variant of every program composes the {e same} runtime
-    objects. *)
-
 val link_objects :
   ?expect_main_arity:int ->
-  ?runtime:Objfile.func_obj list ->
   objects:Objfile.func_obj list ->
   globals:Ir.global list ->
   unit ->
   image
 (** Link relocatable objects into an image.  [objects] must define
     ["main"]; its arity is read from the object's metadata and drives
-    the crt0 stub ([runtime] defaults to {!runtime_objects} for that
-    arity).  With [expect_main_arity], a differing object arity is a
-    linker error.  Raises [Failure] — always naming the offending
+    the crt0 stub.  With [expect_main_arity], a differing object arity
+    is a linker error.  Raises [Failure] — always naming the offending
     symbol — on a missing [main], a duplicate symbol, an unresolved
     function or global reference, or a [main]-arity mismatch. *)
-
-val link :
-  funcs:Asm.func list -> globals:Ir.global list -> main_arity:int -> image
-(** Wrap each symbolic function into an object ({!Objfile.of_asm}) and
-    {!link_objects} them.  [funcs] must contain a function named
-    ["main"] with [main_arity] parameters.  Raises [Failure] on
-    unresolved or duplicate symbols. *)
-
-val link_whole :
-  funcs:Asm.func list -> globals:Ir.global list -> main_arity:int -> image
-(** The seed whole-program linker, kept verbatim as the reference the
-    object pipeline is differentially tested against.  Produces images
-    byte-identical to {!link}. *)
 
 val symbol_offset : image -> string -> int
 (** Text offset of a function.  Raises [Failure] if absent. *)

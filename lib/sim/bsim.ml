@@ -623,7 +623,7 @@ let build (image : Link.image) (model : Timing.model) : cache =
   }
 
 (* The global cache, keyed on (text digest, timing model) and guarded by
-   a lock so the opt-in domain pool backend shares it safely.  No
+   a lock so concurrent callers share it safely.  No
    metrics are emitted here on purpose: hit/miss totals depend on which
    worker process ran which task, and the perf gate byte-compares merged
    telemetry across -j levels. *)

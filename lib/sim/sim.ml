@@ -2,8 +2,7 @@
    engines.
 
    [Interp] is the seed fetch-decode-execute interpreter, kept verbatim
-   below as the trusted differential oracle (the same pattern as
-   [Link.link_whole] vs [Link.link_objects]).  [Block] is the
+   below as the trusted differential oracle.  [Block] is the
    block-cached engine in [Bsim]: decode-once/execute-many over
    pre-compiled per-offset entries, byte-identical observables, roughly
    an order of magnitude faster — and the default.  The decode memo is

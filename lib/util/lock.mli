@@ -1,11 +1,11 @@
 (** A plain mutual-exclusion lock.
 
-    The observability registries ({!Metrics}, {!Trace}) are global mutable
-    state; under the pool's [Domain]-based backend several domains record
-    into them concurrently, so every mutation goes through one of these.
-    On OCaml 4.14 (no domains) the lock is still real but never contended;
-    its uncontended cost is a few nanoseconds, far below the cost of the
-    instrumented operations themselves. *)
+    The observability registries ({!Metrics}, {!Trace}) and the shared
+    caches are global mutable state; every mutation goes through one of
+    these so they stay consistent under any concurrent caller.  The pool
+    runs workers as separate processes, so today the lock is never
+    contended; its uncontended cost is a few nanoseconds, far below the
+    cost of the instrumented operations themselves. *)
 
 type t
 

@@ -1,12 +1,6 @@
 (* Regenerate test/golden_nop_digests.json: the pinned byte-identity
-   fixture for nop-only diversification.
-
-   For every workload x paper config x version in {0,1,2}, compile,
-   train, diversify through BOTH driver paths (whole-program relink and
-   the separate-compilation relink), assert they agree, and record the
-   MD5 of the final .text.  The fixture pins the refactor-safety
-   contract: with only the `nop` pass enabled, the divpass framework
-   must reproduce the pre-framework diversifier bit for bit.
+   fixture for nop-only diversification and the link (see golden.ml for
+   what each row pins).
 
    Run via: dune exec test/gen_golden.exe -- --out test/golden_nop_digests.json *)
 
@@ -20,36 +14,15 @@ let () =
     | a :: _ -> failwith ("gen_golden: unknown arg " ^ a)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf "{\n  \"schema\": \"psd-golden-nop-digests/1\",\n";
-  Buffer.add_string buf "  \"versions\": 3,\n  \"cells\": [\n";
-  let first = ref true in
-  List.iter
-    (fun (w : Workload.t) ->
-      let c = Driver.compile_cached ~name:w.name w.source in
-      let profile = Driver.train_cached c ~args:w.train_args in
-      List.iter
-        (fun (cname, config) ->
-          for version = 0 to 2 do
-            let image, _ = Driver.diversify_linked c ~config ~profile ~version in
-            let whole, _ = Driver.diversify c ~config ~profile ~version in
-            if image.Link.text <> whole.Link.text then
-              failwith
-                (Printf.sprintf "gen_golden: %s/%s v%d: linked <> whole" w.name
-                   cname version);
-            if not !first then Buffer.add_string buf ",\n";
-            first := false;
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "    {\"workload\": %S, \"config\": %S, \"version\": %d, \
-                  \"md5\": %S}"
-                 w.name cname version
-                 (Digest.to_hex (Digest.string image.Link.text)))
-          done)
-        Config.paper_configs)
-    Workloads.all;
-  Buffer.add_string buf "\n  ]\n}\n";
+  let pins =
+    List.concat_map
+      (fun w ->
+        List.map
+          (fun row -> Golden.pin row (Golden.image_of_row row))
+          (Golden.rows_of w))
+      Workloads.all
+  in
   let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Golden.to_json pins);
   close_out oc;
-  Printf.printf "gen_golden: wrote %s\n" !out
+  Printf.printf "gen_golden: wrote %s (%d cells)\n" !out (List.length pins)

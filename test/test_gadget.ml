@@ -137,7 +137,7 @@ let test_survivor_monotone_in_probability () =
   let baseline = Driver.link_baseline c in
   let surv p =
     let image, _ =
-      Driver.diversify c ~config:(Config.uniform p) ~profile ~version:0
+      Driver.diversify_linked c ~config:(Config.uniform p) ~profile ~version:0
     in
     (Survivor.compare_sections ~original:baseline.Link.text
        ~diversified:image.Link.text ())
@@ -165,6 +165,27 @@ let test_population_thresholds () =
   Alcotest.(check int) "in >=3: just the shared ret" 1 (get 3);
   Alcotest.(check int) "in >=2: shared ret + pop eax;ret" 2 (get 2);
   Alcotest.(check bool) "monotone" true (get 1 >= get 2 && get 2 >= get 3)
+
+(* A paper-sized population (25 versions of p0-30) censuses the same at
+   one worker and at two. *)
+let test_population_jobs_identity () =
+  let w = Workloads.find "429.mcf" in
+  let c = Driver.compile_cached ~name:w.Workload.name w.Workload.source in
+  let profile = Driver.train_cached c ~args:w.Workload.train_args in
+  let config = List.assoc "p0-30" Config.paper_configs in
+  let texts =
+    List.map
+      (fun (i : Link.image) -> i.Link.text)
+      (Driver.population c ~config ~profile ~n:25)
+  in
+  let analyze jobs =
+    Population.analyze ~jobs ~thresholds:[ 1; 2; 5; 12; 25 ] texts
+  in
+  let serial = analyze (Pool.Jobs 1) in
+  Alcotest.(check int) "population" 25 serial.Population.population;
+  Alcotest.(check (list (pair int int)))
+    "-j 2 report equals -j 1" serial.Population.at_least
+    (analyze (Pool.Jobs 2)).Population.at_least
 
 (* ---------------- attack ---------------- *)
 
@@ -257,7 +278,11 @@ let suite =
           test_survivor_monotone_in_probability;
       ] );
     ( "gadget.population",
-      [ Alcotest.test_case "thresholds" `Quick test_population_thresholds ] );
+      [
+        Alcotest.test_case "thresholds" `Quick test_population_thresholds;
+        Alcotest.test_case "-j 1 == -j 2 (25 versions)" `Slow
+          test_population_jobs_identity;
+      ] );
     ( "gadget.attack",
       [
         Alcotest.test_case "classification" `Quick test_classify;

@@ -45,7 +45,7 @@ let test_duplicate_symbol_rejected () =
   | _ -> Alcotest.fail "expected duplicate-symbol failure"
 
 let test_missing_main_rejected () =
-  match Link.link ~funcs:[] ~globals:[] ~main_arity:0 with
+  match Link.link_objects ~objects:[] ~globals:[] () with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected missing-main failure"
 
@@ -99,12 +99,17 @@ let test_load_bad_magic () =
 
 (* ---------------- simulator on hand-written code ---------------- *)
 
+(* Link a hand-written [main] against the runtime. *)
+let link_main ~main_arity f =
+  Link.link_objects ~objects:[ Objfile.of_asm ~arity:main_arity f ]
+    ~globals:[] ()
+
 (* Run a raw instruction sequence as "main". *)
 let run_raw insns ~args =
   let f =
     { Asm.name = "main"; items = Asm.Label 0 :: List.map (fun i -> Asm.Ins i) insns }
   in
-  let image = Link.link ~funcs:[ f ] ~globals:[] ~main_arity:(List.length args) in
+  let image = link_main ~main_arity:(List.length args) f in
   Sim.run image ~args
 
 let esp_mem d = Insn.Mem (Insn.mem_base ~disp:d Reg.ESP)
@@ -156,7 +161,7 @@ let test_overflow_flag () =
         ];
     }
   in
-  let image = Link.link ~funcs:[ f ] ~globals:[] ~main_arity:0 in
+  let image = link_main ~main_arity:0 f in
   let r = Sim.run image ~args:[] in
   Alcotest.(check int32) "overflow detected" 1l r.Sim.status
 

@@ -311,67 +311,24 @@ let test_store_eviction () =
 
 (* ---------------- equivalence suite ---------------- *)
 
-(* The acceptance bar of the refactor: the object pipeline produces the
-   same bytes as the seed whole-program pipeline for every workload ×
-   paper config × seed (version), baseline included.  [link_whole] is
-   the seed implementation kept verbatim as the oracle. *)
-let check_image_equal ~what (whole : Link.image) (obj : Link.image) =
-  Alcotest.(check string)
-    (what ^ ": .text digest")
-    (Digest.to_hex (Digest.string whole.Link.text))
-    (Digest.to_hex (Digest.string obj.Link.text));
-  Alcotest.(check bool) (what ^ ": symbols") true
-    (whole.Link.symbols = obj.Link.symbols);
-  Alcotest.(check bool) (what ^ ": block offsets") true
-    (whole.Link.block_offsets = obj.Link.block_offsets);
-  Alcotest.(check int) (what ^ ": entry") whole.Link.entry obj.Link.entry;
-  Alcotest.(check int)
-    (what ^ ": user_start") whole.Link.user_start obj.Link.user_start;
-  Alcotest.(check bool) (what ^ ": globals") true
-    (whole.Link.globals = obj.Link.globals);
-  Alcotest.(check bool) (what ^ ": data_init") true
-    (whole.Link.data_init = obj.Link.data_init);
-  Alcotest.(check int)
-    (what ^ ": main_arity") whole.Link.main_arity obj.Link.main_arity
-
-let seeds = [ 0; 1; 2 ]
-
+(* The object pipeline against the committed golden fixture (see
+   golden.ml), whose rows were cross-checked against the seed
+   whole-program linker when they were generated: per workload, the
+   baseline link and every paper config x version under an empty
+   profile, bytes and layout.  The trained-profile rows are pinned by
+   divpass.identity. *)
 let test_workload_equivalence (w : Workload.t) () =
-  let c = Driver.compile_cached ~name:w.Workload.name w.Workload.source in
-  let globals = c.Driver.modul.Ir.globals in
-  let baseline_whole =
-    Link.link_whole ~funcs:c.Driver.asm ~globals ~main_arity:c.Driver.main_arity
+  let pins =
+    List.filter
+      (fun (p : Golden.pinned) ->
+        p.row.workload = w.Workload.name && p.row.profile <> "train")
+      (Lazy.force Test_divpass.golden_pins)
   in
-  check_image_equal ~what:(w.Workload.name ^ "/baseline") baseline_whole
-    (Driver.link_baseline c);
-  List.iter
-    (fun (_, config) ->
-      let cname = Config.name config in
-      List.iter
-        (fun version ->
-          (* Seed whole-program pipeline: same RNG derivation as the
-             driver, NOP insertion over the whole program, monolithic
-             link. *)
-          let rng =
-            Rng.of_labels config.Config.seed
-              [ c.Driver.name; cname; string_of_int version ]
-          in
-          let funcs, _ =
-            Nop_insert.run_program ~config ~profile:Profile.empty ~rng
-              c.Driver.asm
-          in
-          let whole =
-            Link.link_whole ~funcs ~globals ~main_arity:c.Driver.main_arity
-          in
-          let obj_img, _ =
-            Driver.diversify_linked c ~config ~profile:Profile.empty ~version
-          in
-          check_image_equal
-            ~what:
-              (Printf.sprintf "%s/%s/v%d" w.Workload.name cname version)
-            whole obj_img)
-        seeds)
-    Config.paper_configs
+  Alcotest.(check int)
+    "baseline + empty-profile rows"
+    (1 + (List.length Config.paper_configs * Golden.versions))
+    (List.length pins);
+  List.iter Golden.check pins
 
 let suite =
   [
