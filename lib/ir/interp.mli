@@ -14,7 +14,16 @@
     be 4-aligned.  This mirrors the machine backend's layout exactly —
     same global addresses, same bounds, same argv contents — so address
     arithmetic, and in particular which accesses trap, behaves
-    identically (see the trap-parity notes in DESIGN.md). *)
+    identically (see the trap-parity notes in DESIGN.md).
+
+    Each run resolves the module once before executing anything —
+    functions by name (the first definition wins), branch targets by
+    label (the first block carrying it wins), stack slots, globals — and
+    then executes pre-resolved code with native-int counters, which it
+    folds into {!counts} at the end.  The tables are filled in
+    first-execution order, so [Hashtbl.fold] over them visits keys in
+    the same order from run to run.  [test/golden_interp.json] pins
+    every observable of a fixed set of runs. *)
 
 type counts = {
   blocks : (string * Ir.label, int64) Hashtbl.t;
@@ -33,7 +42,12 @@ type result = {
 
 exception Trap of string
 (** Runtime error: division by zero, out-of-bounds or unaligned access,
-    unknown callee, call-stack overflow, or fuel exhaustion. *)
+    unknown callee, call-stack overflow, or fuel exhaustion.  Two come
+    from a malformed module rather than the program's execution: globals
+    that do not fit [mem_words] (["globals exceed memory"], raised before
+    any initializer is written), and a branch to a label no block of the
+    function carries (["branch to unknown label L in F"], raised only
+    when that edge is taken). *)
 
 val argv_words : int
 (** Words reserved for the argument area at the bottom of the data space

@@ -110,32 +110,15 @@ let test_smoke_200 () =
 (* Corpus replay: every shrunk regression program must agree across the
    full oracle matrix (trap cases included — trapped/trapped agrees). *)
 
-(* `dune runtest` runs in the test build directory, `dune exec
-   test/main.exe` in the project root — accept both. *)
-let corpus_dir () =
-  if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
-
-let corpus_files () =
-  Sys.readdir (corpus_dir ())
-  |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".mc")
-  |> List.sort compare
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_corpus () =
-  let files = corpus_files () in
+  let files = Golden_interp.corpus_files () in
   Alcotest.(check bool)
     (Printf.sprintf "corpus has programs (%d)" (List.length files))
     true
     (List.length files >= 10);
   List.iter
     (fun file ->
-      let src = read_file (Filename.concat (corpus_dir ()) file) in
+      let src = Golden_interp.corpus_source file in
       let args = Fuzz.parse_args_header src in
       let p = Gen.of_source ~name:file ~args src in
       let r = Oracle.check p in
@@ -151,14 +134,14 @@ let test_corpus_trap_classes () =
   let classes = Hashtbl.create 4 in
   List.iter
     (fun file ->
-      let src = read_file (Filename.concat (corpus_dir ()) file) in
+      let src = Golden_interp.corpus_source file in
       let args = Fuzz.parse_args_header src in
       let c = Driver.compile ~opt:Pipeline.O0 ~name:file src in
       match Interp.run ~fuel:300_000L c.Driver.modul ~entry:"main" ~args with
       | _ -> ()
       | exception Interp.Trap msg ->
           Hashtbl.replace classes (Oracle.classify msg) ())
-    (corpus_files ());
+    (Golden_interp.corpus_files ());
   List.iter
     (fun cls ->
       Alcotest.(check bool)

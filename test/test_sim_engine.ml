@@ -138,28 +138,13 @@ let test_workload_grid (w : Workload.t) () =
 
 (* ---------------- trap parity over the corpus ---------------- *)
 
-let corpus_dir () =
-  if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
-
-let corpus_files () =
-  Sys.readdir (corpus_dir ())
-  |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".mc")
-  |> List.sort compare
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let trap_fuel = 3_000_000L
 
 let test_corpus_trap_parity () =
   let faulted = ref 0 in
   List.iter
     (fun file ->
-      let src = read_file (Filename.concat (corpus_dir ()) file) in
+      let src = Golden_interp.corpus_source file in
       let args = Fuzz.parse_args_header src in
       List.iter
         (fun level ->
@@ -175,7 +160,7 @@ let test_corpus_trap_parity () =
             (Printf.sprintf "%s@%s" file (Oracle.level_name level))
             oi ob)
         [ Pipeline.O0; Pipeline.O2 ])
-    (corpus_files ());
+    (Golden_interp.corpus_files ());
   (* The point of the corpus is that several of these *do* trap
      mid-block — make sure the parity check above actually exercised
      the fault path. *)
