@@ -150,9 +150,4 @@ let run () =
         ("metrics", Metrics.dump ());
       ]
   in
-  let out = !Suite.incremental_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "incremental report written to %s@." out
+  Suite.write_report ~what:"incremental" "BENCH_PR5.json" json

@@ -261,9 +261,4 @@ let run () =
         ("unconverged_configs", Jsonw.int unconverged);
       ]
   in
-  let out = !Suite.pgo_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "pgo-loop report written to %s@." out
+  Suite.write_report ~what:"pgo-loop" "BENCH_PR7.json" json

@@ -21,7 +21,7 @@
    planner's own accounting, and whether the *measured* max overhead
    landed under the budget — a cell that busts its budget is recorded
    as a failed cell, so bench exits nonzero and the perf gate's
-   [max_budgeted_overhead_pct] check has teeth. *)
+   [portfolio.budget_use_pct] cap has teeth. *)
 
 let specs =
   [
@@ -250,8 +250,4 @@ let run () =
                rows) );
       ]
   in
-  let oc = open_out !Suite.portfolio_out in
-  Jsonw.to_channel oc json;
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "@.portfolio report -> %s@." !Suite.portfolio_out
+  Suite.write_report ~what:"portfolio" "BENCH_PR10.json" json

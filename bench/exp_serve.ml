@@ -19,7 +19,7 @@
 
    The headline is [warm_cold_ratio] — warm variants/sec over cold
    variants/sec at -j 1 — which the CI perf gate floors
-   (min_warm_variants_per_sec_ratio in test/perf_baseline.json): if the
+   (serve.warm_cold_ratio in test/perf_baseline.json): if the
    store or the driver memos stop being warm, the ratio collapses
    toward 1 and the gate trips.
 
@@ -277,9 +277,4 @@ let run () =
         ("metrics", Metrics.dump ());
       ]
   in
-  let out = !Suite.serve_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "serve report written to %s@." out
+  Suite.write_report ~what:"serve" "BENCH_PR9.json" json

@@ -7,7 +7,7 @@
    bit), then time [runs] runs of each engine and keep the median wall
    clock.  Speedup = interp median / block median; the headline is the
    geometric mean across workloads, which the CI perf gate floors
-   (min_block_speedup in test/perf_baseline.json).
+   (sim-speedup.geomean in test/perf_baseline.json).
 
    Timing is always serial — one run at a time in the parent process,
    whatever --jobs says — because concurrent workers sharing cores would
@@ -186,9 +186,4 @@ let run () =
         ("metrics", Metrics.dump ());
       ]
   in
-  let out = !Suite.speedup_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "sim-speedup report written to %s@." out
+  Suite.write_report ~what:"sim-speedup" "BENCH_PR8.json" json

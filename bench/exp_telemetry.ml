@@ -248,9 +248,4 @@ let run () =
         ("metrics", Metrics.dump ());
       ]
   in
-  let out = !Suite.telemetry_out in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Jsonw.to_channel oc json);
-  Format.printf "telemetry written to %s@." out
+  Suite.write_report ~what:"telemetry" "BENCH_PR2.json" json

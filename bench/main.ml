@@ -11,15 +11,14 @@
    Experiments: table1 figure4 table2 table3 php-attack heuristic
    ablation fuzz-coverage telemetry incremental pgo-loop sim-speedup
    serve portfolio.
-   The telemetry experiment writes the machine-readable report (default
-   BENCH_PR2.json, see --out); incremental writes the cold/warm
-   rebuild report (default BENCH_PR5.json, see --incremental-out);
-   pgo-loop writes the closed-loop stability report (default
-   BENCH_PR7.json, see --pgo-out); sim-speedup times the block-cached
-   engine against the interpreter oracle (default BENCH_PR8.json, see
-   --speedup-out; timing is serial regardless of --jobs); portfolio
-   writes the transform-portfolio overhead/security Pareto (default
-   BENCH_PR10.json, see --portfolio-out).
+   Six experiments write a machine-readable report into --out-dir DIR
+   (default ., created if missing), each under its own name:
+   telemetry BENCH_PR2.json, incremental BENCH_PR5.json (cold/warm
+   rebuild), pgo-loop BENCH_PR7.json (closed-loop stability),
+   sim-speedup BENCH_PR8.json (block engine against the interpreter
+   oracle; timing is serial regardless of --jobs), serve BENCH_PR9.json
+   and portfolio BENCH_PR10.json (transform-portfolio overhead/security
+   Pareto).
    --jobs N|auto runs each
    experiment's workload grid on the parallel pool — reports are
    byte-identical at every -j.  Any failed cell or experiment is
@@ -46,9 +45,8 @@ let experiments =
 let usage () =
   Format.printf
     "usage: main.exe [--versions N] [--workloads A,B,..] [--jobs N|auto] \
-     [--trace FILE] [--out FILE] [--incremental-out FILE] [--pgo-out FILE] \
-     [--speedup-out FILE] [--serve-out FILE] [--serve-population N] \
-     [--portfolio-out FILE] [experiment...]@.";
+     [--trace FILE] [--out-dir DIR] [--serve-population N] \
+     [experiment...]@.";
   Format.printf "experiments: %s@."
     (String.concat " " (List.map fst experiments));
   exit 1
@@ -85,23 +83,8 @@ let () =
     | "--trace" :: file :: rest ->
         trace_file := Some file;
         parse selected rest
-    | "--out" :: file :: rest ->
-        Suite.telemetry_out := file;
-        parse selected rest
-    | "--incremental-out" :: file :: rest ->
-        Suite.incremental_out := file;
-        parse selected rest
-    | "--pgo-out" :: file :: rest ->
-        Suite.pgo_out := file;
-        parse selected rest
-    | "--speedup-out" :: file :: rest ->
-        Suite.speedup_out := file;
-        parse selected rest
-    | "--serve-out" :: file :: rest ->
-        Suite.serve_out := file;
-        parse selected rest
-    | "--portfolio-out" :: file :: rest ->
-        Suite.portfolio_out := file;
+    | "--out-dir" :: dir :: rest ->
+        Suite.out_dir := dir;
         parse selected rest
     | "--serve-population" :: n :: rest -> (
         match int_of_string_opt n with

@@ -36,25 +36,21 @@ let perf_versions = ref 3
 let selected_workloads = ref Workloads.all
 let workloads () = !selected_workloads
 
-(* Where the telemetry experiment writes its machine-readable report. *)
-let telemetry_out = ref "BENCH_PR2.json"
-
-(* Where the incremental-build experiment writes its report. *)
-let incremental_out = ref "BENCH_PR5.json"
-
-(* Where the PGO-loop experiment writes its report. *)
-let pgo_out = ref "BENCH_PR7.json"
-
-(* Where the sim-speedup experiment writes its report. *)
-let speedup_out = ref "BENCH_PR8.json"
-
-(* Where the variant-serving experiment writes its report, and how many
-   versions its population-at-scale survivor run builds. *)
-let serve_out = ref "BENCH_PR9.json"
+(* How many versions the serve experiment's population-at-scale survivor
+   run builds. *)
 let serve_population = ref 1000
 
-(* Where the transform-portfolio experiment writes its report. *)
-let portfolio_out = ref "BENCH_PR10.json"
+(* The directory every experiment writes its report into (bench's
+   --out-dir flag); each report keeps its own file name. *)
+let out_dir = ref "."
+
+let write_report ~what file json =
+  if not (Sys.file_exists !out_dir) then Sys.mkdir !out_dir 0o755;
+  let path = Filename.concat !out_dir file in
+  Out_channel.with_open_text path (fun oc ->
+      Jsonw.to_channel oc json;
+      output_char oc '\n');
+  Format.printf "%s report written to %s@." what path
 
 (* Worker count for the experiment grids (bench's --jobs flag).  Serial
    by default; the pool's serial path is the reference semantics, so

@@ -20,8 +20,9 @@ let sequence_at ?(params = Finder.default_params) text offset =
   in
   walk offset 1 []
 
-let survivors ?params ~original ~diversified () =
-  let gadgets = Finder.scan ?params original in
+(* The gadgets of [gadgets] (scanned from the original section) that
+   survive in [diversified]. *)
+let surviving_of ?params gadgets ~diversified =
   List.filter
     (fun (g : Finder.t) ->
       match sequence_at ?params diversified g.offset with
@@ -33,11 +34,12 @@ let survivors ?params ~original ~diversified () =
           a <> [] && List.equal Insn.equal a b)
     gadgets
 
+let survivors ?params ~original ~diversified () =
+  surviving_of ?params (Finder.scan ?params original) ~diversified
+
 let compare_sections ?params ~original ~diversified () =
   let baseline = Finder.scan ?params original in
-  let surviving =
-    List.length (survivors ?params ~original ~diversified ())
-  in
+  let surviving = List.length (surviving_of ?params baseline ~diversified) in
   { baseline_gadgets = List.length baseline; surviving }
 
 let surviving_offsets ?params ~original ~diversified () =

@@ -1,73 +1,42 @@
-(* The CI perf-regression gate.
+(* The CI perf-regression gate: one evaluator over one bounds table.
 
-   Checks against bench reports (BENCH*.json):
+     perf_gate --baseline B.json [--parallel P.json]
+               [--inject-slowdown-pct P] REPORT...
+     perf_gate --write-baseline -o B.json REPORT...
 
-   1. Determinism: the report produced with --jobs auto must be
-      byte-identical to the one produced with --jobs 1.  Any drift means
-      the pool leaked scheduling into an artifact.
-   2. Regression: per config, the median overhead_pct across workloads
-      must stay within a tolerance of the committed baseline snapshot —
-      max(0.05 percentage points, tolerance% of the baseline value,
-      default 2%).  The simulator is deterministic, so the medians are
-      machine-independent and a drift is a code change, not noise.
-      Schema/2 reports additionally carry the baseline binary's
-      sampled-profiling overhead at the default period
-      (baseline.sampling_overhead_pct); its median is gated the same
-      way, so the production-profiling cost cannot creep past its
-      committed baseline unnoticed.
-   3. Engine speedup (with --speedup): the sim-speedup report's geomean
-      block-vs-interp wall-clock speedup must stay at or above the
-      baseline's min_block_speedup key.  Wall clock is machine-dependent
-      where the modeled medians are not, so this one is a *floor*, not a
-      drift band: the committed floor carries enough headroom for
-      machine variance, and only a structural slowdown of the block
-      engine (or a structural speedup of the oracle) can cross it.
+   Each REPORT is a bench output whose "schema" picks the extractor that
+   turns it into named measurements.  Each measurement has one rule
+   against its bound in the baseline (psd-perf-gate-baseline/2, one flat
+   "bounds" object keyed by name): a band (within max(0.05, 2%) of the
+   bound), a floor (at or above it) or a cap (at or below it).  DESIGN.md
+   ("CI perf-regression gate") lists every bound and why it has its rule.
 
-   4. Serve warm-path ratio (with --serve): the serve report's
-      warm-over-cold variants/sec ratio at -j 1 must stay at or above
-      the baseline's min_warm_variants_per_sec_ratio key.  Like the
-      engine speedup this is a wall-clock *floor* with headroom, not a
-      drift band: if the daemon's warm path stops being warm (a cache
-      key regression, an eviction storm), the ratio collapses toward 1
-      and crosses it.
+   A bound's name up to its first dot is its report kind; bounds of kinds
+   no REPORT supplies are not checked.  Anything else that does not line
+   up fails: an unknown schema, two reports of one kind, a missing field,
+   a measurement without a bound, a bound that nothing measured.
+   --parallel names a report that must be byte-identical to the REPORT
+   of its kind (the same bench run at --jobs auto).
+   --inject-slowdown-pct P makes every value P% worse (bands and caps
+   times 1+P/100, floors divided by it); runtest uses it to show that
+   each check catches what it claims.  --write-baseline writes every
+   bound: a band the measured value, a floor the measurement less its
+   headroom, a cap its contract value. *)
 
-   5. Budgeted overhead (with --portfolio): every budgeted cell of the
-      portfolio report (BENCH_PR10.json schema) must land under its
-      declared budget — per cell, measured max overhead may consume at
-      most the baseline's max_budgeted_overhead_pct percent of the
-      declared budget (100 = exactly the budget).  The simulator is
-      deterministic, so a cell creeping past its budget is a planner or
-      cost-model change, not noise.
+(* A floor carries the bound --write-baseline derives from a measurement,
+   a cap its contract value. *)
+type rule = Band | Floor of (float -> float) | Cap of float
 
-   Modes:
+type measurement = { name : string; value : float; rule : rule; note : string }
 
-     perf_gate --serial S.json --parallel P.json --baseline B.json
-               [--speedup SP.json] [--serve SV.json] [--portfolio PF.json]
-               [--tolerance-pct T] [--inject-slowdown-pct P]
-     perf_gate --write-baseline --serial S.json [--speedup SP.json]
-               [--serve SV.json] [--portfolio PF.json] -o B.json
-
-   --inject-slowdown-pct scales the measured medians (and divides the
-   measured speedup and serve ratio, and inflates the budgeted cells'
-   overheads) before comparing — the gate's own CI self-test proves a
-   10% slowdown, a 30%-slower block engine and a 50%-slower warm serve
-   path are caught, and runtest proves a 10% inflation pushes a
-   near-budget portfolio cell over.
-   --write-baseline regenerates the snapshot after an intentional
-   performance change (see DESIGN.md for the policy); the speedup floor
-   is written with 20% headroom below the measured geomean, the serve
-   ratio floor with 50% headroom below the measured ratio (cold/warm
-   wall clocks vary more across machines than their quotient's
-   structure suggests). *)
+let measure ?(note = "") name rule value = { name; value; rule; note }
+let baseline_schema = "psd-perf-gate-baseline/2"
 
 let usage () =
   prerr_endline
-    "usage: perf_gate --serial S.json --parallel P.json --baseline B.json\n\
-    \                 [--speedup SP.json] [--serve SV.json] [--portfolio \
-     PF.json]\n\
-    \                 [--tolerance-pct T] [--inject-slowdown-pct P]\n\
-    \       perf_gate --write-baseline --serial S.json [--speedup SP.json] \
-     [--serve SV.json] [--portfolio PF.json] -o B.json";
+    "usage: perf_gate --baseline B.json [--parallel P.json] \
+     [--inject-slowdown-pct P] REPORT...\n\
+    \       perf_gate --write-baseline -o B.json REPORT...";
   exit 2
 
 let read_file path =
@@ -76,393 +45,206 @@ let read_file path =
     Printf.eprintf "perf_gate: %s\n" msg;
     exit 2
 
-let median = function
-  | [] -> 0.0
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      if n mod 2 = 1 then a.(n / 2)
-      else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+let median xs =
+  let a = Array.of_list (List.sort compare xs) and n = List.length xs in
+  if n = 0 then raise (Minijson.Bad "no workloads");
+  (a.((n - 1) / 2) +. a.(n / 2)) /. 2.0
 
-(* config name -> median overhead_pct across the report's workloads, in
-   first-appearance order. *)
-let medians_of_report json =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun c ->
-          let name = Minijson.(to_str (member "config" c)) in
-          let o = Minijson.(to_num (member "overhead_pct" c)) in
-          if not (Hashtbl.mem tbl name) then order := name :: !order;
-          Hashtbl.replace tbl name
-            (o :: Option.value (Hashtbl.find_opt tbl name) ~default:[]))
-        Minijson.(to_list (member "configs" w)))
-    Minijson.(to_list (member "workloads" json));
-  List.rev_map (fun name -> (name, median (Hashtbl.find tbl name))) !order
+let num key json = Minijson.(to_num (member key json))
+let str key json = Minijson.(to_str (member key json))
+let list key json = Minijson.(to_list (member key json))
 
-(* Median across workloads of the undiversified baseline's
-   sampled-profiling overhead — [None] for schema/1 reports that predate
-   the field. *)
-let sampling_median_of_report json =
-  let vals =
+(* Per config, in first-appearance order, the median overhead across
+   workloads; then the median sampled-profiling overhead of the
+   undiversified binaries. *)
+let telemetry json =
+  let workloads = list "workloads" json in
+  let cells = List.concat_map (list "configs") workloads in
+  let add acc c = if List.mem c acc then acc else c :: acc in
+  let configs = List.fold_left add [] (List.map (str "config") cells) in
+  let overheads n =
     List.filter_map
-      (fun w ->
-        match
-          Minijson.(to_num (member "sampling_overhead_pct" (member "baseline" w)))
-        with
-        | v -> Some v
-        | exception Minijson.Bad _ -> None)
-      Minijson.(to_list (member "workloads" json))
+      (fun c -> if str "config" c = n then Some (num "overhead_pct" c) else None)
+      cells
   in
-  match vals with [] -> None | vs -> Some (median vs)
+  List.rev_map
+    (fun n -> measure ("telemetry.overhead." ^ n) Band (median (overheads n)))
+    configs
+  @ [ measure "telemetry.sampling" Band (median (List.map
+        (fun w -> num "sampling_overhead_pct" (Minijson.member "baseline" w))
+        workloads)) ]
 
-let parse_report path text =
-  match Minijson.parse text with
-  | json -> json
+(* The worst budgeted cell's max overhead as a % of its budget.  Cells
+   without budget_pct are unbudgeted; a report without a budgeted cell
+   gates nothing, so it fails. *)
+let portfolio json =
+  let budgeted w = function
+    | Minijson.Obj kvs as c when List.mem_assoc "budget_pct" kvs ->
+        Some (str "name" w ^ "/" ^ str "config" c,
+              num "overhead_max_pct" c /. num "budget_pct" c *. 100.0)
+    | _ -> None
+  in
+  let cells =
+    List.concat_map (fun w -> List.filter_map (budgeted w) (list "configs" w))
+      (list "workloads" json)
+  in
+  if cells = [] then raise (Minijson.Bad "no budgeted cell");
+  let cell, use =
+    List.fold_left (fun (c, u) (c', u') -> if u' > u then (c', u') else (c, u))
+      ("", neg_infinity) cells
+  in
+  [ measure ~note:("worst cell " ^ cell) "portfolio.budget_use_pct" (Cap 100.0) use ]
+
+let one name rule key json = [ measure name rule (num key json) ]
+
+(* schema -> (report kind, extractor), in the order bounds are written.
+   The floors keep headroom under the wall-clock measurement: 20% for
+   the engine speedup, 50% (at least 1.1) for the serve ratio, whose
+   cold and warm clocks both vary across machines. *)
+let kinds =
+  [
+    ("psd-bench-telemetry/2", ("telemetry", telemetry));
+    ( "psd-bench-sim-speedup/1",
+      ( "sim-speedup",
+        one "sim-speedup.geomean" (Floor (fun g -> 0.8 *. g)) "geomean_speedup" ) );
+    ( "psd-bench-serve/1",
+      ( "serve",
+        one "serve.warm_cold_ratio"
+          (Floor (fun r -> Float.max 1.1 (0.5 *. r))) "warm_cold_ratio" ) );
+    ("psd-bench-portfolio/1", ("portfolio", portfolio));
+  ]
+
+let kind_names = List.map (fun (_, (k, _)) -> k) kinds
+
+type report = { path : string; text : string; kind : string; ms : measurement list }
+
+let failed = ref false
+
+let line ok fmt =
+  if not ok then failed := true;
+  Printf.ksprintf (fun s -> print_endline ((if ok then "ok   " else "FAIL ") ^ s)) fmt
+
+(* Runs [f] on the parsed file, or prints a FAIL line naming it. *)
+let with_json path f =
+  let text = read_file path in
+  match f text (Minijson.parse text) with
+  | v -> Some v
   | exception Minijson.Bad msg ->
-      Printf.printf "FAIL %s is not valid JSON: %s\n" path msg;
-      exit 1
+      line false "%s: %s" path msg;
+      None
 
-(* geomean_speedup of a sim-speedup report (BENCH_PR8.json). *)
-let speedup_of_report json =
-  match Minijson.(to_num (member "geomean_speedup" json)) with
-  | v -> v
-  | exception Minijson.Bad msg ->
-      Printf.printf "FAIL speedup report: %s\n" msg;
-      exit 1
+let kind_of json =
+  let schema = str "schema" json in
+  match List.assoc_opt schema kinds with
+  | Some k -> k
+  | None -> raise (Minijson.Bad ("unknown report schema " ^ schema))
 
-(* warm_cold_ratio of a serve report (BENCH_PR9.json). *)
-let serve_ratio_of_report json =
-  match Minijson.(to_num (member "warm_cold_ratio" json)) with
-  | v -> v
-  | exception Minijson.Bad msg ->
-      Printf.printf "FAIL serve report: %s\n" msg;
-      exit 1
+let load path =
+  with_json path (fun text json ->
+      let kind, extract = kind_of json in
+      { path; text; kind; ms = extract json })
 
-(* The budgeted cells of a portfolio report (BENCH_PR10.json):
-   (workload/config, declared budget pct, measured max overhead pct).
-   Cells without a budget_pct field are unbudgeted and not gated. *)
-let budgeted_cells_of_report json =
-  match
-    List.concat_map
-      (fun w ->
-        let wname = Minijson.(to_str (member "name" w)) in
-        List.filter_map
-          (fun c ->
-            match Minijson.(to_num (member "budget_pct" c)) with
-            | budget ->
-                Some
-                  ( wname ^ "/" ^ Minijson.(to_str (member "config" c)),
-                    budget,
-                    Minijson.(to_num (member "overhead_max_pct" c)) )
-            | exception Minijson.Bad _ -> None)
-          Minijson.(to_list (member "configs" w)))
-      Minijson.(to_list (member "workloads" json))
-  with
-  | cells -> cells
-  | exception Minijson.Bad msg ->
-      Printf.printf "FAIL portfolio report: %s\n" msg;
-      exit 1
+let check bounds m =
+  match List.assoc_opt m.name bounds with
+  | None -> line false "%s measured but absent from baseline" m.name
+  | Some b ->
+      let ok, how =
+        match m.rule with
+        | Band ->
+            let tol = Float.max 0.05 (0.02 *. Float.abs b) in
+            (Float.abs (m.value -. b) <= tol, Printf.sprintf "band %.3f +- %.3f" b tol)
+        | Floor _ -> (m.value >= b, Printf.sprintf "floor %.3f" b)
+        | Cap _ -> (m.value <= b, Printf.sprintf "cap %.3f" b)
+      in
+      line ok "%-26s %8.3f  %s%s" m.name m.value how
+        (if m.note = "" then "" else "  (" ^ m.note ^ ")")
 
-let write_baseline ~out ~sampling ~speedup ~serve ~portfolio medians =
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"schema\": \"psd-perf-gate-baseline/1\",\n";
-      (match sampling with
-      | None -> ()
-      | Some s ->
-          Printf.fprintf oc "  \"median_sampling_overhead_pct\": %.6f,\n" s);
-      (match speedup with
-      | None -> ()
-      | Some g ->
-          (* The floor, not the measurement: 20% headroom under the
-             measured geomean absorbs machine-to-machine wall-clock
-             variance. *)
-          Printf.fprintf oc "  \"min_block_speedup\": %.1f,\n" (0.8 *. g));
-      (match serve with
-      | None -> ()
-      | Some r ->
-          (* 50% headroom: the cold and warm wall clocks are both
-             machine-dependent, so their ratio gets the widest band. *)
-          Printf.fprintf oc "  \"min_warm_variants_per_sec_ratio\": %.1f,\n"
-            (Float.max 1.1 (0.5 *. r)));
-      (* The cap is the contract itself, not a measurement: a budgeted
-         cell may consume at most its whole declared budget. *)
-      if portfolio then
-        output_string oc "  \"max_budgeted_overhead_pct\": 100.0,\n";
-      output_string oc "  \"median_overhead_pct\": {\n";
-      List.iteri
-        (fun i (name, m) ->
-          Printf.fprintf oc "    %S: %.6f%s\n" name m
-            (if i = List.length medians - 1 then "" else ","))
-        medians;
-      output_string oc "  }\n}\n");
-  Printf.printf "baseline written to %s (%d configs)\n" out
-    (List.length medians)
+let write_baseline out ms =
+  let bound m =
+    match m.rule with
+    | Band -> Printf.sprintf "%.6f" m.value
+    | Floor f -> Printf.sprintf "%.1f" (f m.value)
+    | Cap c -> Printf.sprintf "%.1f" c
+  in
+  let rows = List.map (fun m -> Printf.sprintf "    %S: %s" m.name (bound m)) ms in
+  Out_channel.with_open_text out (fun oc ->
+      Printf.fprintf oc "{\n  \"schema\": %S,\n  \"bounds\": {\n%s\n  }\n}\n"
+        baseline_schema (String.concat ",\n" rows));
+  Printf.printf "baseline written to %s (%d bounds)\n" out (List.length ms)
 
 let () =
-  let serial = ref None
-  and parallel = ref None
-  and baseline = ref None
-  and speedup_file = ref None
-  and serve_file = ref None
-  and portfolio_file = ref None
-  and out = ref None
-  and tolerance = ref 2.0
-  and inject = ref 0.0
-  and write_mode = ref false in
+  let baseline = ref None and parallel = ref None and out = ref None in
+  let inject = ref 0.0 and write = ref false and paths = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--serial" :: v :: rest ->
-        serial := Some v;
-        parse rest
-    | "--parallel" :: v :: rest ->
-        parallel := Some v;
-        parse rest
-    | "--baseline" :: v :: rest ->
-        baseline := Some v;
-        parse rest
-    | "--speedup" :: v :: rest ->
-        speedup_file := Some v;
-        parse rest
-    | "--serve" :: v :: rest ->
-        serve_file := Some v;
-        parse rest
-    | "--portfolio" :: v :: rest ->
-        portfolio_file := Some v;
-        parse rest
-    | "-o" :: v :: rest ->
-        out := Some v;
-        parse rest
-    | "--tolerance-pct" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t > 0.0 -> tolerance := t
-        | _ -> usage ());
-        parse rest
-    | "--inject-slowdown-pct" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some p -> inject := p
-        | None -> usage ());
-        parse rest
-    | "--write-baseline" :: rest ->
-        write_mode := true;
-        parse rest
+    | "--baseline" :: v :: rest -> baseline := Some v; parse rest
+    | "--parallel" :: v :: rest -> parallel := Some v; parse rest
+    | "-o" :: v :: rest -> out := Some v; parse rest
+    | "--write-baseline" :: rest -> write := true; parse rest
+    | "--inject-slowdown-pct" :: v :: rest when float_of_string_opt v <> None ->
+        inject := float_of_string v; parse rest
+    | v :: rest when v <> "" && v.[0] <> '-' -> paths := v :: !paths; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let serial_path = match !serial with Some p -> p | None -> usage () in
-  let serial_text = read_file serial_path in
-  let serial_json = parse_report serial_path serial_text in
-  let scale m = m *. (1.0 +. (!inject /. 100.0)) in
-  let medians =
-    List.map (fun (name, m) -> (name, scale m)) (medians_of_report serial_json)
+  if !paths = [] then usage ();
+  let loaded = List.filter_map load (List.rev !paths) in
+  (* One report per kind, in table order; a second one of a kind fails. *)
+  let reports =
+    List.filter_map
+      (fun kind ->
+        match List.filter (fun r -> r.kind = kind) loaded with
+        | [] -> None
+        | r :: dups ->
+            List.iter (fun d -> line false "%s: second %s report" d.path kind) dups;
+            Some r)
+      kind_names
   in
-  let sampling = Option.map scale (sampling_median_of_report serial_json) in
-  (* An injected slowdown of the block engine *divides* its speedup. *)
-  let speedup =
-    Option.map
-      (fun path ->
-        speedup_of_report (parse_report path (read_file path))
-        /. (1.0 +. (!inject /. 100.0)))
-      !speedup_file
-  in
-  (* So does an injected slowdown of the serve daemon's warm path. *)
-  let serve =
-    Option.map
-      (fun path ->
-        serve_ratio_of_report (parse_report path (read_file path))
-        /. (1.0 +. (!inject /. 100.0)))
-      !serve_file
-  in
-  (* An injected slowdown inflates every budgeted cell's measured
-     overhead, pushing near-budget cells over the cap. *)
-  let portfolio =
-    Option.map
-      (fun path ->
-        List.map
-          (fun (cell, budget, overhead) -> (cell, budget, scale overhead))
-          (budgeted_cells_of_report (parse_report path (read_file path))))
-      !portfolio_file
-  in
-  if !write_mode then begin
-    match !out with
-    | Some out ->
-        write_baseline ~out ~sampling ~speedup ~serve
-          ~portfolio:(portfolio <> None) medians
-    | None -> usage ()
-  end
-  else begin
-    let parallel_path = match !parallel with Some p -> p | None -> usage () in
-    let baseline_path = match !baseline with Some p -> p | None -> usage () in
-    let failed = ref false in
-    let fail fmt = Printf.ksprintf (fun s -> failed := true; print_string ("FAIL " ^ s ^ "\n")) fmt in
-    (* Check 1: parallel report byte-identical to serial. *)
-    let parallel_text = read_file parallel_path in
-    ignore (parse_report parallel_path parallel_text);
-    if String.equal serial_text parallel_text then
-      Printf.printf "ok   parallel report byte-identical to serial (%d bytes)\n"
-        (String.length serial_text)
-    else
-      fail "parallel report %s differs from serial %s — pool nondeterminism"
-        parallel_path serial_path;
-    (* Check 2: per-config median overheads within tolerance of the
-       committed baseline. *)
-    let base_json = parse_report baseline_path (read_file baseline_path) in
-    let base =
-      match Minijson.member "median_overhead_pct" base_json with
-      | Minijson.Obj kvs ->
-          List.map (function
-            | (k, Minijson.Num v) -> (k, v)
-            | (k, _) ->
-                Printf.printf "FAIL baseline %s: %s is not a number\n"
-                  baseline_path k;
-                exit 1)
-            kvs
-      | _ | (exception Minijson.Bad _) ->
-          Printf.printf "FAIL baseline %s: missing median_overhead_pct\n"
-            baseline_path;
-          exit 1
-    in
-    List.iter
-      (fun (name, m) ->
-        match List.assoc_opt name base with
-        | None -> fail "config %s measured but absent from baseline" name
-        | Some b ->
-            let allowed = Float.max 0.05 (!tolerance /. 100.0 *. Float.abs b) in
-            let drift = Float.abs (m -. b) in
-            if drift <= allowed then
-              Printf.printf
-                "ok   %-12s median overhead %+.3f%% (baseline %+.3f%%, drift \
-                 %.3fpp <= %.3fpp)\n"
-                name m b drift allowed
-            else
-              fail
-                "%s median overhead %+.3f%% drifted %.3fpp from baseline \
-                 %+.3f%% (allowed %.3fpp)"
-                name m drift b allowed)
-      medians;
-    List.iter
-      (fun (name, _) ->
-        if not (List.mem_assoc name medians) then
-          fail "config %s in baseline but missing from report" name)
-      base;
-    (* Check 3 (schema/2 reports): the baseline binary's median
-       sampled-profiling overhead at the default period, gated exactly
-       like the per-config overheads. *)
-    (match sampling with
-    | None -> ()
-    | Some s -> (
-        match
-          Minijson.(to_num (member "median_sampling_overhead_pct" base_json))
-        with
-        | b ->
-            let allowed =
-              Float.max 0.05 (!tolerance /. 100.0 *. Float.abs b)
-            in
-            let drift = Float.abs (s -. b) in
-            if drift <= allowed then
-              Printf.printf
-                "ok   %-12s median overhead %+.3f%% (baseline %+.3f%%, drift \
-                 %.3fpp <= %.3fpp)\n"
-                "sampling" s b drift allowed
-            else
-              fail
-                "sampling median overhead %+.3f%% drifted %.3fpp from \
-                 baseline %+.3f%% (allowed %.3fpp)"
-                s drift b allowed
-        | exception Minijson.Bad _ ->
-            fail
-              "sampled-profiling overhead measured but \
-               median_sampling_overhead_pct absent from baseline %s"
-              baseline_path));
-    (* Check 4 (with --speedup): the block engine's geomean wall-clock
-       speedup over the interpreter oracle must stay above the floor. *)
-    (match speedup with
-    | None -> ()
-    | Some g -> (
-        match Minijson.(to_num (member "min_block_speedup" base_json)) with
-        | floor ->
-            if g >= floor then
-              Printf.printf
-                "ok   block engine geomean speedup %.1fx >= floor %.1fx\n" g
-                floor
-            else
-              fail
-                "block engine geomean speedup %.1fx fell below the %.1fx \
-                 floor"
-                g floor
-        | exception Minijson.Bad _ ->
-            fail "speedup measured but min_block_speedup absent from baseline %s"
-              baseline_path));
-    (* Check 5 (with --serve): the daemon's warm-over-cold throughput
-       ratio must stay above the floor — below it, the warm path is no
-       longer warm. *)
-    (match serve with
-    | None -> ()
-    | Some r -> (
-        match
-          Minijson.(to_num (member "min_warm_variants_per_sec_ratio" base_json))
-        with
-        | floor ->
-            if r >= floor then
-              Printf.printf
-                "ok   serve warm/cold throughput ratio %.1fx >= floor %.1fx\n"
-                r floor
-            else
-              fail
-                "serve warm/cold throughput ratio %.1fx fell below the %.1fx \
-                 floor"
-                r floor
-        | exception Minijson.Bad _ ->
-            fail
-              "serve ratio measured but min_warm_variants_per_sec_ratio \
-               absent from baseline %s"
-              baseline_path));
-    (* Check 6 (with --portfolio): every budgeted cell must land under
-       its declared budget — utilization capped at
-       max_budgeted_overhead_pct percent of the budget. *)
-    (match portfolio with
-    | None -> ()
-    | Some cells -> (
-        match
-          Minijson.(to_num (member "max_budgeted_overhead_pct" base_json))
-        with
-        | cap ->
-            let worst = ref ("", 0.0) in
-            List.iter
-              (fun (cell, budget, overhead) ->
-                let util = overhead /. budget *. 100.0 in
-                if util > snd !worst then worst := (cell, util);
-                if util > cap then
-                  fail
-                    "budgeted cell %s measured %+.3f%% against a %.4g%% \
-                     budget (%.1f%% of budget > %.1f%% cap)"
-                    cell overhead budget util cap)
-              cells;
-            if List.for_all
-                 (fun (_, budget, overhead) ->
-                   overhead /. budget *. 100.0 <= cap)
-                 cells
-            then
-              Printf.printf
-                "ok   %d budgeted cell(s) under budget (worst %s at %.1f%% \
-                 of budget, cap %.1f%%)\n"
-                (List.length cells) (fst !worst) (snd !worst) cap
-        | exception Minijson.Bad _ ->
-            fail
-              "budgeted cells measured but max_budgeted_overhead_pct absent \
-               from baseline %s"
-              baseline_path));
-    if !failed then begin
-      print_endline
-        "perf gate FAILED — if the change is intentional, regenerate \
-         test/perf_baseline.json with --write-baseline (see DESIGN.md)";
-      exit 1
-    end
-    else print_endline "perf gate passed"
-  end
+  let k = 1.0 +. (!inject /. 100.0) in
+  let worse m =
+    { m with value = (match m.rule with Floor _ -> m.value /. k | _ -> m.value *. k) } in
+  let measured = List.concat_map (fun r -> List.map worse r.ms) reports in
+  match (!write, !out, !baseline) with
+  | true, Some out, _ ->
+      if !failed then exit 1;
+      write_baseline out measured
+  | false, None, Some baseline_path ->
+      Option.iter
+        (fun p ->
+          ignore
+            (with_json p (fun text json ->
+                 let kind, _ = kind_of json in
+                 match List.find_opt (fun r -> r.kind = kind) reports with
+                 | Some r when String.equal r.text text ->
+                     line true "%s byte-identical to %s (%d bytes)" p r.path
+                       (String.length text)
+                 | Some r ->
+                     line false "%s differs from %s: pool nondeterminism" p r.path
+                 | None -> line false "%s: no %s report to compare with" p kind)))
+        !parallel;
+      let bounds =
+        with_json baseline_path (fun _ json ->
+            if str "schema" json <> baseline_schema then
+              raise (Minijson.Bad ("schema is not " ^ baseline_schema));
+            match Minijson.member "bounds" json with
+            | Minijson.Obj kvs -> List.map (fun (n, v) -> (n, Minijson.to_num v)) kvs
+            | _ -> raise (Minijson.Bad "bounds is not an object"))
+        |> function Some bounds -> bounds | None -> exit 1
+      in
+      List.iter (check bounds) measured;
+      List.iter
+        (fun (name, _) ->
+          let kind = List.hd (String.split_on_char '.' name) in
+          if not (List.mem kind kind_names) then
+            line false "bound %s names no report kind" name
+          else if List.exists (fun r -> r.kind = kind) reports
+                  && not (List.exists (fun m -> m.name = name) measured)
+          then line false "bound %s: no %s report measured it" name kind)
+        bounds;
+      if !failed then (
+        print_endline
+          "perf gate FAILED: if the change is intentional, regenerate \
+           test/perf_baseline.json with --write-baseline (see DESIGN.md)";
+        exit 1);
+      Printf.printf "perf gate passed (%d measurement(s))\n" (List.length measured)
+  | _ -> usage ()
